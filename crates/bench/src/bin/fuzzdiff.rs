@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p mctsui-bench --bin fuzzdiff -- \
 //!     [--families all|star,snowflake,log] [--seeds LO..HI] \
-//!     [--oracles all|actions,reward,search,serve,snapshot,noise,append] \
+//!     [--oracles all|actions,reward,search,serve,snapshot,noise,append,plan] \
 //!     [--noise] [--jobs N] [--append <path>] [--verbose]
 //! ```
 //!
@@ -44,7 +44,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: fuzzdiff [--families all|star,snowflake,log] [--seeds LO..HI] \
-         [--oracles all|actions,reward,search,serve,snapshot,noise,append] [--noise] \
+         [--oracles all|actions,reward,search,serve,snapshot,noise,append,plan] [--noise] \
          [--jobs N] [--append <path>] [--verbose]"
     );
     std::process::exit(2)

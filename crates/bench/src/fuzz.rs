@@ -1,7 +1,7 @@
 //! Differential fuzz harness: the oracle ladder run over the generated scenario corpus.
 //!
 //! Each corpus scenario (`corpus:<family>:<seed>`, see `mctsui_workload::corpus`) is swept
-//! through seven differential oracles, each pinning an optimised path against its slow
+//! through eight differential oracles, each pinning an optimised path against its slow
 //! reference implementation **bit-for-bit**:
 //!
 //! 1. **actions** — `RuleEngine::applicable` (incremental action index) against
@@ -24,6 +24,10 @@
 //!    incrementally maintained tree, checked bit-identical to a full `initial_difftree`
 //!    re-derive at every prefix and after seeded random retracts, plus one
 //!    search-from-final-state bit-identity check.
+//! 8. **plan** — the structure-shared compile: along a seeded rollout, the plan one
+//!    long-lived `ContextCache` serves (match memo and choice memo warm from every earlier
+//!    state) against `EvalPlan::new(QueryContext::compute(..), LayoutSkeleton::compile(..))`
+//!    built from scratch — field by field, plus slot evaluations on seeded assignments.
 //!
 //! Failures are already minimal — a `(family, seed)` pair (plus a noise op for rung 6)
 //! reproduces them — and are appended to the checked-in regression corpus
@@ -63,11 +67,13 @@ pub enum Oracle {
     /// Live-maintenance parity: the append/retract-maintained tree against a full
     /// `initial_difftree` re-derive at every log prefix and after seeded random retracts.
     Append,
+    /// Shared-memo plan compile against a from-scratch compile, along a seeded rollout.
+    Plan,
 }
 
 impl Oracle {
     /// Every oracle, in ladder order.
-    pub const ALL: [Oracle; 7] = [
+    pub const ALL: [Oracle; 8] = [
         Oracle::Actions,
         Oracle::Reward,
         Oracle::Search,
@@ -75,6 +81,7 @@ impl Oracle {
         Oracle::Snapshot,
         Oracle::Noise,
         Oracle::Append,
+        Oracle::Plan,
     ];
 
     /// Stable name used on the `fuzzdiff` command line.
@@ -87,6 +94,7 @@ impl Oracle {
             Oracle::Snapshot => "snapshot",
             Oracle::Noise => "noise",
             Oracle::Append => "append",
+            Oracle::Plan => "plan",
         }
     }
 
@@ -104,6 +112,7 @@ impl Oracle {
             Oracle::Snapshot => oracle_snapshot(scenario, seed),
             Oracle::Noise => oracle_noise(scenario, seed),
             Oracle::Append => oracle_append(scenario, seed),
+            Oracle::Plan => oracle_plan(scenario, seed),
         }
     }
 }
@@ -643,6 +652,142 @@ fn check_maintained(live: &mctsui_core::LiveLog, engine: &RuleEngine) -> Result<
     }
     if live.maintained().assignments() != express_entries(live.difftree().root(), live.entries()) {
         return Err("maintained expressibility memo diverged from express_entries".to_string());
+    }
+    Ok(())
+}
+
+/// Oracle 8: the structure-shared plan compile. A seeded rollout walks the search's start
+/// state through random rule applications; at every state the plan served by one
+/// long-lived [`ContextCache`] — its match memo and choice memo warm from every earlier
+/// state — must equal a plan compiled from scratch field for field (slot paths and
+/// candidates, arena nodes, orientation slots, context, transition tables), and both must
+/// evaluate bit-identically on the greedy default plus seeded random slot assignments.
+fn oracle_plan(scenario: &Scenario, seed: u64) -> Result<(), String> {
+    use mctsui_cost::{evaluate_slots, per_sample_seed, EvalPlan, EvalScratch};
+    use mctsui_widgets::LayoutSkeleton;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const STEPS: usize = 48;
+    const SAMPLES: u64 = 4;
+    let engine = RuleEngine::default();
+    let weights = CostWeights::default();
+    let cache = ContextCache::new(Arc::from(scenario.queries.clone()));
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x91A7_C0DE_5EED_0008);
+    let mut scratch = EvalScratch::default();
+    let mut tree = simplified_difftree(&scenario.queries);
+    for step in 0..=STEPS {
+        let shared = cache.plan_for(&tree);
+        let fresh = EvalPlan::new(
+            Arc::new(QueryContext::compute(&tree, &scenario.queries)),
+            Arc::new(LayoutSkeleton::compile(&tree)),
+        );
+        compare_plans(&shared, &fresh).map_err(|e| format!("step {step}: {e}"))?;
+        let mut slots = fresh.skeleton.default_slots();
+        for i in 0..=SAMPLES {
+            if i > 0 {
+                let mut draw = StdRng::seed_from_u64(per_sample_seed(seed, i));
+                fresh.skeleton.sample_into(&mut slots, &mut draw);
+            }
+            let a = evaluate_slots(&shared, &slots, scenario.screen, &weights, &mut scratch);
+            let b = evaluate_slots(&fresh, &slots, scenario.screen, &weights, &mut scratch);
+            if cost_bits(&a) != cost_bits(&b) {
+                return Err(format!(
+                    "step {step} assignment {i}: shared plan {a:?} vs fresh plan {b:?}"
+                ));
+            }
+        }
+        let apps = engine.applicable(&tree);
+        if apps.is_empty() {
+            break;
+        }
+        let app = &apps[rng.gen_range(0..apps.len())];
+        tree = engine
+            .apply(&tree, app)
+            .ok_or_else(|| format!("step {step}: applicable {:?} did not apply", app.rule))?;
+    }
+    Ok(())
+}
+
+/// Every float of an [`InterfaceCost`](mctsui_cost::InterfaceCost) as raw bits, plus its
+/// validity flag.
+fn cost_bits(cost: &mctsui_cost::InterfaceCost) -> ([u64; 5], bool) {
+    (
+        [
+            cost.appropriateness.to_bits(),
+            cost.navigation.to_bits(),
+            cost.interaction.to_bits(),
+            cost.footprint.to_bits(),
+            cost.total.to_bits(),
+        ],
+        cost.valid,
+    )
+}
+
+/// Field-by-field, bit-exact comparison of two compiled plans for the same state.
+fn compare_plans(
+    shared: &mctsui_cost::EvalPlan,
+    fresh: &mctsui_cost::EvalPlan,
+) -> Result<(), String> {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    if shared.ctx != fresh.ctx {
+        return Err("query contexts differ".to_string());
+    }
+    let (a, b) = (&shared.skeleton, &fresh.skeleton);
+    if a.nodes() != b.nodes() {
+        return Err(format!(
+            "arena nodes differ ({} vs {})",
+            a.nodes().len(),
+            b.nodes().len()
+        ));
+    }
+    if a.orient_slots() != b.orient_slots() {
+        return Err("orientation slots differ".to_string());
+    }
+    if a.choice_slots().len() != b.choice_slots().len() {
+        return Err(format!(
+            "{} choice slots vs {}",
+            a.choice_slots().len(),
+            b.choice_slots().len()
+        ));
+    }
+    for (i, (x, y)) in a.choice_slots().iter().zip(b.choice_slots()).enumerate() {
+        let (cx, cy) = (&x.candidates, &y.candidates);
+        let widgets = |c: &mctsui_widgets::SlotCandidates| {
+            c.widgets
+                .iter()
+                .map(|w| {
+                    (
+                        w.widget_type,
+                        w.width,
+                        w.height,
+                        w.appropriateness.to_bits(),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        if x.path != y.path
+            || x.node != y.node
+            || cx.sampled != cy.sampled
+            || cx.cardinality != cy.cardinality
+            || cx.mean_subtree_size.to_bits() != cy.mean_subtree_size.to_bits()
+            || widgets(cx) != widgets(cy)
+        {
+            return Err(format!(
+                "choice slot {i} differs: shared {x:?} vs fresh {y:?}"
+            ));
+        }
+    }
+    let (ta, tb) = (shared.tables(), fresh.tables());
+    if ta.transitions_valid != tb.transitions_valid
+        || bits(ta.nav_per_transition) != bits(tb.nav_per_transition)
+        || ta.changed_slots != tb.changed_slots
+        || bits(ta.efforts) != bits(tb.efforts)
+        || ta.effort_offsets != tb.effort_offsets
+    {
+        return Err(format!(
+            "transition tables differ: shared {ta:?} vs fresh {tb:?}"
+        ));
     }
     Ok(())
 }

@@ -7,6 +7,8 @@
 //! selection of any widget, and re-derives the current SQL query after every interaction —
 //! what the visualization panel would re-execute.
 
+use std::sync::Arc;
+
 use mctsui_difftree::derive::{derive_query, express};
 use mctsui_difftree::{ChoiceAssignment, DiffKind, DiffNode, DiffPath, DiffTree};
 use mctsui_sql::{print_query, Ast};
@@ -107,7 +109,7 @@ impl InterfaceSession {
         let inner = default_assignment_for(&node.children()[pick]);
         let new_choice = ChoiceAssignment::Any {
             pick,
-            inner: Box::new(inner),
+            inner: Arc::new(inner),
         };
         self.current = replace_at_path(&self.difftree, &self.current, path, new_choice)
             .ok_or_else(|| SessionError::NoSuchChoice(path.clone()))?;
@@ -127,7 +129,7 @@ impl InterfaceSession {
                 .first()
                 .ok_or_else(|| SessionError::NoSuchChoice(path.clone()))?;
             ChoiceAssignment::Opt {
-                included: Some(Box::new(default_assignment_for(child))),
+                included: Some(Arc::new(default_assignment_for(child))),
             }
         } else {
             ChoiceAssignment::Opt { included: None }
@@ -172,18 +174,18 @@ fn default_assignment_for(node: &DiffNode) -> ChoiceAssignment {
         }
         DiffKind::Any => ChoiceAssignment::Any {
             pick: 0,
-            inner: Box::new(
+            inner: Arc::new(
                 node.children()
                     .first()
                     .map(default_assignment_for)
-                    .unwrap_or(ChoiceAssignment::All(Vec::new())),
+                    .unwrap_or(ChoiceAssignment::All(Arc::new([]))),
             ),
         },
         DiffKind::Opt => ChoiceAssignment::Opt {
             included: node
                 .children()
                 .first()
-                .map(|c| Box::new(default_assignment_for(c))),
+                .map(|c| Arc::new(default_assignment_for(c))),
         },
         DiffKind::Multi => ChoiceAssignment::Multi {
             reps: node
@@ -219,9 +221,9 @@ fn replace_at_path(
                 let child_node = node.children().get(idx)?;
                 let child_assignment = children.get(idx)?;
                 let new_child = rec(child_node, child_assignment, rest, replacement)?;
-                let mut out = children.clone();
+                let mut out = children.to_vec();
                 out[idx] = new_child;
-                Some(ChoiceAssignment::All(out))
+                Some(ChoiceAssignment::All(out.into()))
             }
             (DiffKind::Any, ChoiceAssignment::Any { pick, inner }) => {
                 // Descending into an alternative that is not currently selected would not be
@@ -235,7 +237,7 @@ fn replace_at_path(
                 let new_inner = rec(child_node, &base, rest, replacement)?;
                 Some(ChoiceAssignment::Any {
                     pick: idx,
-                    inner: Box::new(new_inner),
+                    inner: Arc::new(new_inner),
                 })
             }
             (DiffKind::Opt, ChoiceAssignment::Opt { included }) => {
@@ -246,12 +248,12 @@ fn replace_at_path(
                 };
                 let new_inner = rec(child_node, &base, rest, replacement)?;
                 Some(ChoiceAssignment::Opt {
-                    included: Some(Box::new(new_inner)),
+                    included: Some(Arc::new(new_inner)),
                 })
             }
             (DiffKind::Multi, ChoiceAssignment::Multi { reps }) => {
                 let child_node = node.children().get(idx)?;
-                let mut out = reps.clone();
+                let mut out = reps.to_vec();
                 if out.is_empty() {
                     out.push(default_assignment_for(child_node));
                 }
@@ -260,7 +262,7 @@ fn replace_at_path(
                     .cloned()
                     .unwrap_or_else(|| default_assignment_for(child_node));
                 out[0] = rec(child_node, &first, rest, replacement)?;
-                Some(ChoiceAssignment::Multi { reps: out })
+                Some(ChoiceAssignment::Multi { reps: out.into() })
             }
             _ => None,
         }

@@ -16,7 +16,9 @@ use mctsui_difftree::{
 };
 use mctsui_sql::Ast;
 use mctsui_widgets::widget::appropriateness_cost;
-use mctsui_widgets::{LayoutSkeleton, Screen, SlotAssignment, Widget, WidgetTree, WidgetType};
+use mctsui_widgets::{
+    ChoiceMemo, LayoutSkeleton, Screen, SlotAssignment, Widget, WidgetTree, WidgetType,
+};
 
 use crate::model::{CostWeights, InterfaceCost};
 
@@ -110,13 +112,20 @@ pub struct ContextCacheStats {
 ///    (an O(1) lookup key on persistent trees), so re-visiting a state never re-expresses
 ///    the log.
 /// 2. **Across states** — the embedded [`Expressor`] memoizes subtree-versus-span match
-///    results. Applying a rule produces a tree sharing every subtree off the edited spine
-///    with its predecessor, so only transitions through the changed region are recomputed;
-///    the rest of the expressibility work is looked up.
+///    results, and the [`ChoiceMemo`] memoizes each choice node's compiled candidate
+///    widgets. Applying a rule produces a tree sharing every subtree off the edited spine
+///    with its predecessor, so only the changed region is matched and compiled; the rest
+///    is looked up.
 ///
-/// Both per-state caches are bounded [`GenerationCache`]s (second-chance generational
-/// eviction), so a long-lived serving process keeps its live working set warm while cold
-/// states age out; [`ContextCache::stats`] reports their hit/miss/eviction counters.
+/// Cross-state reuse is by *reference*, never by copy: a match-memo entry holds `Arc`
+/// handles to its children's memoised assignments, and every skeleton slot whose choice
+/// node has a given fingerprint points at that fingerprint's one candidate list. A novel
+/// state therefore allocates (and later frees) only what its edit made new.
+///
+/// The per-state caches and the choice memo are bounded [`GenerationCache`]s
+/// (second-chance generational eviction) of the same capacity and shard count, so a
+/// long-lived serving process keeps its live working set warm while cold entries age out;
+/// [`ContextCache::stats`] reports the per-state caches' hit/miss/eviction counters.
 pub struct ContextCache {
     queries: Arc<[Ast]>,
     /// `None` while a worker has the shared expressor checked out for a computation.
@@ -125,6 +134,9 @@ pub struct ContextCache {
     /// Compiled evaluation plans (layout skeleton + transition tables), keyed like
     /// `contexts` by the tree's structural fingerprint.
     plans: GenerationCache<Arc<EvalPlan>>,
+    /// Compiled choice-slot candidates, keyed by choice-node fingerprint and shared by
+    /// every plan compiled here.
+    choices: ChoiceMemo,
 }
 
 impl ContextCache {
@@ -133,20 +145,22 @@ impl ContextCache {
         Self::with_capacity(queries, CONTEXT_DEFAULT_CAPACITY)
     }
 
-    /// [`ContextCache::new`] with an explicit bound on resident per-state entries (applied
-    /// to the context cache and the plan cache independently).
+    /// [`ContextCache::new`] with an explicit bound on resident entries (applied to the
+    /// context cache, the plan cache and the choice memo independently).
     pub fn with_capacity(queries: Arc<[Ast]>, capacity: usize) -> Self {
         Self::with_capacity_and_shards(queries, capacity, mctsui_difftree::DEFAULT_CACHE_SHARDS)
     }
 
-    /// [`ContextCache::with_capacity`] with an explicit shard count for the two per-state
-    /// caches — serving processes with many workers raise it to spread lock pressure.
+    /// [`ContextCache::with_capacity`] with an explicit shard count for the per-state caches
+    /// and the choice memo — serving processes with many workers raise it to spread lock
+    /// pressure.
     pub fn with_capacity_and_shards(queries: Arc<[Ast]>, capacity: usize, shards: usize) -> Self {
         Self {
             queries: Arc::clone(&queries),
             expressor: Mutex::new(Some(Expressor::new(queries))),
             contexts: GenerationCache::with_shards(capacity, shards),
             plans: GenerationCache::with_shards(capacity, shards),
+            choices: GenerationCache::with_shards(capacity, shards),
         }
     }
 
@@ -190,7 +204,8 @@ impl ContextCache {
     }
 
     /// The (cached) evaluation plan of a difftree state: its [`QueryContext`] joined with
-    /// its compiled [`LayoutSkeleton`] and the precomputed transition tables.
+    /// its compiled [`LayoutSkeleton`] and the precomputed transition tables. The skeleton
+    /// is compiled through the shared choice memo ([`LayoutSkeleton::compile_with`]).
     ///
     /// Same discipline as [`ContextCache::context_for`]: the lock is never held across the
     /// compile, so root-parallel workers overlap freely and the first finished plan for a
@@ -202,7 +217,7 @@ impl ContextCache {
         }
 
         let ctx = self.context_for(tree);
-        let skeleton = Arc::new(LayoutSkeleton::compile(tree));
+        let skeleton = Arc::new(LayoutSkeleton::compile_with(tree, &self.choices));
         let plan = Arc::new(EvalPlan::new(ctx, skeleton));
 
         // A concurrent worker may have compiled the same state; keep the first entry.
@@ -359,11 +374,12 @@ impl EvalPlan {
         let mut effort_offsets = Vec::with_capacity(skeleton.choice_slots().len());
         for slot in skeleton.choice_slots() {
             effort_offsets.push(efforts.len() as u32);
-            for cand in &slot.candidates {
+            let candidates = &slot.candidates;
+            for cand in &candidates.widgets {
                 efforts.push(interaction_effort_features(
                     cand.widget_type,
-                    slot.cardinality,
-                    slot.mean_subtree_size,
+                    candidates.cardinality,
+                    candidates.mean_subtree_size,
                 ));
             }
         }
@@ -397,6 +413,18 @@ impl EvalPlan {
         }
     }
 
+    /// Read-only view of the precomputed transition tables (for differential checks of
+    /// one plan against another).
+    pub fn tables(&self) -> PlanTables<'_> {
+        PlanTables {
+            transitions_valid: self.transitions_valid,
+            nav_per_transition: &self.nav_per_transition,
+            changed_slots: &self.changed_slots,
+            efforts: &self.efforts,
+            effort_offsets: &self.effort_offsets,
+        }
+    }
+
     #[inline]
     fn effort(&self, slot: u32, candidate: usize) -> f64 {
         self.efforts[self.effort_offsets[slot as usize] as usize + candidate]
@@ -413,6 +441,21 @@ impl EvalPlan {
         }
         navigation
     }
+}
+
+/// The transition tables of an [`EvalPlan`], borrowed (see [`EvalPlan::tables`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlanTables<'a> {
+    /// False when some transition changes a choice node with no bound widget.
+    pub transitions_valid: bool,
+    /// Per transition: the Steiner edge count of the changed widgets' connecting subtree.
+    pub nav_per_transition: &'a [f64],
+    /// Changed choice slots, flattened across transitions in evaluation order.
+    pub changed_slots: &'a [u32],
+    /// Interaction effort per (choice slot, candidate), flattened.
+    pub efforts: &'a [f64],
+    /// Offset of each choice slot's row in `efforts`.
+    pub effort_offsets: &'a [u32],
 }
 
 /// Reusable buffers for [`evaluate_slots`]; create once and share across evaluations to keep
@@ -480,8 +523,9 @@ fn evaluate_slots_hoisted(
     // M(w): appropriateness, pre-resolved per candidate, summed in widget order.
     let mut appropriateness = 0.0;
     for (i, slot) in plan.skeleton.choice_slots().iter().enumerate() {
-        let idx = slots.choice(i).min(slot.candidates.len() - 1);
-        let m = slot.candidates[idx].appropriateness;
+        let widgets = &slot.candidates.widgets;
+        let idx = slots.choice(i).min(widgets.len() - 1);
+        let m = widgets[idx].appropriateness;
         if !m.is_finite() {
             return InterfaceCost::invalid();
         }
@@ -496,9 +540,10 @@ fn evaluate_slots_hoisted(
     // interaction term is a table lookup per changed slot, in transition order.
     let mut interaction = 0.0;
     for &slot in &plan.changed_slots {
+        let candidates = &plan.skeleton.choice_slots()[slot as usize].candidates;
         let idx = slots
             .choice(slot as usize)
-            .min(plan.skeleton.choice_slots()[slot as usize].candidates.len() - 1);
+            .min(candidates.widgets.len() - 1);
         interaction += plan.effort(slot, idx);
     }
 

@@ -31,6 +31,6 @@ pub mod model;
 pub use eval::{
     evaluate, evaluate_batch, evaluate_sampled, evaluate_sampled_many, evaluate_slots,
     evaluate_with_context, per_sample_seed, ContextCache, ContextCacheStats, EvalPlan, EvalScratch,
-    QueryContext, CONTEXT_DEFAULT_CAPACITY,
+    PlanTables, QueryContext, CONTEXT_DEFAULT_CAPACITY,
 };
 pub use model::{CostWeights, InterfaceCost};

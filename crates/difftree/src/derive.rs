@@ -74,26 +74,31 @@ pub fn express_entries(node: &DiffNode, entries: &[LogEntry]) -> Vec<Option<Choi
 }
 
 /// The selections made at the choice nodes of a difftree, mirrored onto its structure.
+///
+/// Children are `Arc`-shared, so cloning an assignment is O(1) and two assignments may
+/// share any number of subtrees. The expressibility matcher relies on this: a memoised
+/// match result references the memoised results of its children instead of copying them
+/// (see [`Expressor`]). The JSON encoding is the same as for owned children.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ChoiceAssignment {
     /// An `All` node: one assignment per child, in order.
-    All(Vec<ChoiceAssignment>),
+    All(Arc<[ChoiceAssignment]>),
     /// An `Any` node: the index of the chosen alternative and the assignment inside it.
     Any {
         /// Index of the chosen alternative.
         pick: usize,
         /// Assignment for the chosen alternative's subtree.
-        inner: Box<ChoiceAssignment>,
+        inner: Arc<ChoiceAssignment>,
     },
     /// An `Opt` node: `None` when the child is omitted.
     Opt {
         /// Assignment for the child when it is included.
-        included: Option<Box<ChoiceAssignment>>,
+        included: Option<Arc<ChoiceAssignment>>,
     },
     /// A `Multi` node: one assignment per repetition (possibly empty).
     Multi {
         /// Assignments for each repetition of the child, in order.
-        reps: Vec<ChoiceAssignment>,
+        reps: Arc<[ChoiceAssignment]>,
     },
 }
 
@@ -143,7 +148,7 @@ pub fn derive(node: &DiffNode, assignment: &ChoiceAssignment) -> Option<Vec<Ast>
                 return Some(Vec::new());
             }
             let mut children = Vec::new();
-            for (child, ca) in node.children().iter().zip(child_assignments) {
+            for (child, ca) in node.children().iter().zip(child_assignments.iter()) {
                 children.extend(derive(child, ca)?);
             }
             let ast = match &label.value {
@@ -163,7 +168,7 @@ pub fn derive(node: &DiffNode, assignment: &ChoiceAssignment) -> Option<Vec<Ast>
         (DiffKind::Multi, ChoiceAssignment::Multi { reps }) => {
             let child = node.children().first()?;
             let mut out = Vec::new();
-            for rep in reps {
+            for rep in reps.iter() {
                 out.extend(derive(child, rep)?);
             }
             Some(out)
@@ -196,6 +201,11 @@ pub fn derive_query(node: &DiffNode, assignment: &ChoiceAssignment) -> Option<As
 /// is why this type is crate-private: the safe ways to reuse a memo are [`Expressor`]
 /// (which owns and thereby pins its query log) and the call-scoped memos of [`express`],
 /// [`express_log`] and [`expresses_all`], which never outlive the target borrow.
+///
+/// **Sharing invariant:** an entry *references* the memoised results of its children and
+/// never copies them. Because [`ChoiceAssignment`] children are `Arc`s, building an entry
+/// allocates only its own top-level nodes, handing out a result is an O(1) clone, and
+/// dropping the memo frees each shared subtree once.
 #[derive(Default)]
 pub(crate) struct ExpressMemo {
     map: FxHashMap<MemoKey, Arc<MatchResults>>,
@@ -222,9 +232,14 @@ impl ExpressMemo {
 /// A reusable expressibility engine bound to one query log.
 ///
 /// Owning the log (`Arc<[Ast]>`) pins the target ASTs in memory, which makes the
-/// address-keyed [`ExpressMemo`] sound for the whole lifetime of the `Expressor`. The cost
+/// address-keyed `ExpressMemo` sound for the whole lifetime of the `Expressor`. The cost
 /// layer keeps one of these per search problem so that expressing the log in state
 /// `T.replace_at(p, n)` reuses every match computed for the shared subtrees of `T`.
+///
+/// Reuse is by reference, not by copy: a memo entry holds `Arc` handles to its children's
+/// memoised assignments, and [`Expressor::express`] returns an O(1) clone of the root
+/// entry. Expressing a novel state therefore allocates only for the subtrees its edit
+/// made new.
 pub struct Expressor {
     queries: Arc<[Ast]>,
     memo: ExpressMemo,
@@ -330,7 +345,7 @@ fn match_node_uncached(node: &DiffNode, targets: &[Ast], memo: &mut ExpressMemo)
                 return Vec::new();
             };
             if label.is_empty() {
-                return vec![(0, ChoiceAssignment::All(Vec::new()))];
+                return vec![(0, ChoiceAssignment::All(Arc::new([])))];
             }
             let Some(first) = targets.first() else {
                 return Vec::new();
@@ -339,7 +354,9 @@ fn match_node_uncached(node: &DiffNode, targets: &[Ast], memo: &mut ExpressMemo)
                 return Vec::new();
             }
             match match_children(node.children(), first.children(), memo) {
-                Some(child_assignments) => vec![(1, ChoiceAssignment::All(child_assignments))],
+                Some(child_assignments) => {
+                    vec![(1, ChoiceAssignment::All(child_assignments.into()))]
+                }
                 None => Vec::new(),
             }
         }
@@ -351,7 +368,7 @@ fn match_node_uncached(node: &DiffNode, targets: &[Ast], memo: &mut ExpressMemo)
                         *consumed,
                         ChoiceAssignment::Any {
                             pick: i,
-                            inner: Box::new(inner.clone()),
+                            inner: Arc::new(inner.clone()),
                         },
                     ));
                 }
@@ -366,7 +383,7 @@ fn match_node_uncached(node: &DiffNode, targets: &[Ast], memo: &mut ExpressMemo)
                         out.push((
                             *consumed,
                             ChoiceAssignment::Opt {
-                                included: Some(Box::new(inner.clone())),
+                                included: Some(Arc::new(inner.clone())),
                             },
                         ));
                     }
@@ -377,7 +394,7 @@ fn match_node_uncached(node: &DiffNode, targets: &[Ast], memo: &mut ExpressMemo)
         DiffKind::Multi => {
             // Zero or more repetitions; each repetition must consume at least one target node
             // to guarantee termination.
-            let mut out = vec![(0, ChoiceAssignment::Multi { reps: Vec::new() })];
+            let mut out = vec![(0, ChoiceAssignment::Multi { reps: Arc::new([]) })];
             let Some(child) = node.children().first() else {
                 return out;
             };
@@ -393,7 +410,7 @@ fn match_node_uncached(node: &DiffNode, targets: &[Ast], memo: &mut ExpressMemo)
                     out.push((
                         total,
                         ChoiceAssignment::Multi {
-                            reps: new_reps.clone(),
+                            reps: new_reps.as_slice().into(),
                         },
                     ));
                     if total < targets.len() {
@@ -647,10 +664,10 @@ mod tests {
         let root = DiffNode::any(queries.iter().map(DiffNode::from_ast).collect());
         let bogus = ChoiceAssignment::Any {
             pick: 99,
-            inner: Box::new(ChoiceAssignment::All(Vec::new())),
+            inner: Arc::new(ChoiceAssignment::All(Arc::new([]))),
         };
         assert!(derive(&root, &bogus).is_none());
-        let wrong_shape = ChoiceAssignment::All(Vec::new());
+        let wrong_shape = ChoiceAssignment::All(Arc::new([]));
         assert!(derive(&root, &wrong_shape).is_none());
     }
 
@@ -752,6 +769,92 @@ mod tests {
         let direct = express_log(&root, &healthy);
         assert_eq!(slots[0], direct[0]);
         assert_eq!(slots[2], direct[1]);
+    }
+
+    #[test]
+    fn expressor_shares_results_of_unedited_subtrees_across_states() {
+        let queries: Arc<[Ast]> = vec![q("select x from a where u = 1")].into();
+        let tree = DiffNode::from_ast(&queries[0]);
+        let other = DiffNode::from_ast(&q("select y from a").children()[0]);
+        let alternatives = DiffNode::any(vec![tree.children()[0].clone(), other]);
+        let edited = tree.replace_at(&DiffPath(vec![0]), alternatives).unwrap();
+
+        let mut expressor = Expressor::new(queries);
+        let before = expressor.express(&tree, 0).unwrap();
+        let after = expressor.express(&edited, 0).unwrap();
+        let again = expressor.express(&edited, 0).unwrap();
+        let children = |a: &ChoiceAssignment| match a {
+            ChoiceAssignment::All(children) => Arc::clone(children),
+            other => panic!("expected an All assignment, got {other:?}"),
+        };
+        // FROM and WHERE lie off the edited spine: the new state's result references the
+        // memo entries the old state built instead of copying them.
+        for i in [1, 2] {
+            assert!(Arc::ptr_eq(
+                &children(&children(&before)[i]),
+                &children(&children(&after)[i])
+            ));
+        }
+        // A repeated expression hands out the memoised root itself.
+        assert!(Arc::ptr_eq(&children(&after), &children(&again)));
+    }
+
+    /// The JSON encoding of assignments, captured while children were still owned
+    /// (`Box`/`Vec`); `Arc`-shared children must encode and decode identically.
+    #[test]
+    fn assignment_json_matches_the_owned_encoding() {
+        let one = q("select x from a where u = 1");
+        let two = q("select y from a, a");
+        let table = DiffNode::from_ast(&two.children()[1].children()[0]);
+        let from = DiffNode::all(
+            Label::of_ast(&two.children()[1]),
+            vec![DiffNode::multi(table)],
+        );
+        let proj = DiffNode::any(vec![
+            DiffNode::from_ast(&one.children()[0]),
+            DiffNode::from_ast(&two.children()[0]),
+        ]);
+        let select = DiffNode::all(
+            Label::of_ast(&one),
+            vec![
+                proj,
+                from,
+                DiffNode::opt(DiffNode::from_ast(&one.children()[2])),
+            ],
+        );
+        let leaf = || ChoiceAssignment::All(Arc::new([]));
+        let hand = ChoiceAssignment::All(Arc::new([
+            ChoiceAssignment::Any {
+                pick: 2,
+                inner: Arc::new(leaf()),
+            },
+            ChoiceAssignment::Opt { included: None },
+            ChoiceAssignment::Opt {
+                included: Some(Arc::new(ChoiceAssignment::Multi { reps: Arc::new([]) })),
+            },
+            ChoiceAssignment::Multi {
+                reps: Arc::new([leaf(), ChoiceAssignment::Opt { included: None }]),
+            },
+        ]));
+        let golden = [
+            (
+                express(&select, &one).unwrap(),
+                r#"{"All":[{"Any":{"pick":0,"inner":{"All":[{"All":[{"All":[]}]}]}}},{"All":[{"Multi":{"reps":[{"All":[]}]}}]},{"Opt":{"included":{"All":[{"All":[{"All":[]},{"All":[]}]}]}}}]}"#,
+            ),
+            (
+                express(&select, &two).unwrap(),
+                r#"{"All":[{"Any":{"pick":1,"inner":{"All":[{"All":[{"All":[]}]}]}}},{"All":[{"Multi":{"reps":[{"All":[]},{"All":[]}]}}]},{"Opt":{"included":null}}]}"#,
+            ),
+            (
+                hand,
+                r#"{"All":[{"Any":{"pick":2,"inner":{"All":[]}}},{"Opt":{"included":null}},{"Opt":{"included":{"Multi":{"reps":[]}}}},{"Multi":{"reps":[{"All":[]},{"Opt":{"included":null}}]}}]}"#,
+            ),
+        ];
+        for (assignment, json) in golden {
+            assert_eq!(serde_json::to_string(&assignment).unwrap(), json);
+            let back: ChoiceAssignment = serde_json::from_str(json).unwrap();
+            assert_eq!(back, assignment);
+        }
     }
 
     #[test]

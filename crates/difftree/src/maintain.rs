@@ -24,6 +24,8 @@
 //!    [`TriagedLog`](../../mctsui_core/struct.TriagedLog.html) occupy log positions but
 //!    never touch the tree; retracting one is a pure bookkeeping edit.
 
+use std::sync::Arc;
+
 use rustc_hash::FxHashMap;
 
 use mctsui_sql::Ast;
@@ -250,7 +252,7 @@ impl MaintainedTree {
                 let pick = self.occurrences[&slot.leaf_fingerprint][0];
                 Some(ChoiceAssignment::Any {
                     pick,
-                    inner: Box::new(slot.inner.clone()),
+                    inner: Arc::new(slot.inner.clone()),
                 })
             })
             .collect()

@@ -30,6 +30,8 @@ pub use assign::{
     random_assignment, WidgetChoiceMap,
 };
 pub use screen::Screen;
-pub use skeleton::{CandidateWidget, ChoiceSlot, LayoutSkeleton, SlotAssignment};
+pub use skeleton::{
+    CandidateWidget, ChoiceMemo, ChoiceSlot, LayoutSkeleton, SlotAssignment, SlotCandidates,
+};
 pub use tree::{build_widget_tree, LayoutKind, WidgetNode, WidgetTree};
 pub use widget::{SizeClass, Widget, WidgetType};

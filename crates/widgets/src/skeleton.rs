@@ -10,7 +10,10 @@
 //! * the widget-tree nodes in **post-order** with per-node child counts, parent links and
 //!   depths (one flat `Vec`, no recursion at evaluation time),
 //! * per choice node, its [`CandidateWidget`] list — compatible widget types sorted by
-//!   appropriateness, each with its pixel box and `M(w)` already resolved,
+//!   appropriateness, each with its pixel box and `M(w)` already resolved. That list is a
+//!   pure function of the choice node's subtree, so it is built once per node fingerprint
+//!   in a [`ChoiceMemo`] and shared (`Arc`) by every slot and every skeleton whose choice
+//!   node has that subtree; only the slot's path is per-position,
 //! * per grouping node, an orientation slot (or a fixed kind for `Adder` groups).
 //!
 //! An assignment then shrinks from a `BTreeMap<DiffPath, WidgetType>` to a
@@ -24,13 +27,15 @@
 //! [`WidgetTree`]: crate::tree::WidgetTree
 //! [`build_widget_tree`]: crate::tree::build_widget_tree
 
+use std::sync::Arc;
+
 use rand::Rng;
 
-use mctsui_difftree::{ChoiceDomain, DiffKind, DiffNode, DiffPath, DiffTree};
+use mctsui_difftree::{ChoiceDomain, DiffKind, DiffNode, DiffPath, DiffTree, GenerationCache};
 
 use crate::assign::{compatible_widgets, WidgetChoiceMap};
 use crate::tree::{combine_boxes, LayoutKind};
-use crate::widget::{appropriateness_cost, widget_can_express, Widget, WidgetType};
+use crate::widget::{appropriateness_cost, template_size, widget_can_express, WidgetType};
 
 /// Sentinel parent id of the root node.
 pub const NO_PARENT: u32 = u32::MAX;
@@ -56,39 +61,88 @@ pub struct CandidateWidget {
 
 impl CandidateWidget {
     fn resolve(widget_type: WidgetType, domain: &ChoiceDomain) -> Self {
-        let widget = Widget::new(widget_type, domain.clone());
+        let (width, height) = template_size(widget_type, domain);
         Self {
             widget_type,
-            width: widget.width(),
-            height: widget.height(),
+            width,
+            height,
             appropriateness: appropriateness_cost(widget_type, domain),
         }
     }
 }
 
-/// A choice node's compiled slot: its candidate widgets plus the domain features the cost
-/// model's interaction-effort term needs.
-#[derive(Debug, Clone)]
-pub struct ChoiceSlot {
-    /// Path of the choice node in the difftree.
-    pub path: DiffPath,
-    /// Candidate widgets. The first [`ChoiceSlot::sampled`] entries are the *compatible*
-    /// widgets in appropriateness order (what random sampling draws from, index 0 being the
-    /// greedy best); any remaining entries are other expressive types an explicit
-    /// [`WidgetChoiceMap`] may name, kept so arbitrary maps stay representable.
-    pub candidates: Vec<CandidateWidget>,
+/// The path-independent part of a compiled choice slot: the candidate widgets plus the
+/// domain features the cost model's interaction-effort term needs. It is a pure function
+/// of the choice node's subtree, which is why a [`ChoiceMemo`] can share one allocation
+/// between every slot whose node has the same fingerprint.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SlotCandidates {
+    /// Candidate widgets. The first [`SlotCandidates::sampled`] entries are the
+    /// *compatible* widgets in appropriateness order (what random sampling draws from,
+    /// index 0 being the greedy best); any remaining entries are other expressive types an
+    /// explicit [`WidgetChoiceMap`] may name, kept so arbitrary maps stay representable.
+    pub widgets: Vec<CandidateWidget>,
     /// Number of leading candidates eligible for random sampling.
     pub sampled: u8,
-    /// Arena id of the interaction node bound to this slot.
-    pub node: u32,
     /// The domain's option count (for the interaction-effort term).
     pub cardinality: usize,
     /// The domain's mean alternative size (for the interaction-effort term).
     pub mean_subtree_size: f64,
 }
 
+impl SlotCandidates {
+    /// Resolve every candidate widget of the choice node `node` against its domain.
+    /// Returns `None` for non-choice nodes.
+    fn of(node: &DiffNode) -> Option<Self> {
+        // The domain's path never reaches the candidates, so any path will do.
+        let domain = ChoiceDomain::from_node(DiffPath::root(), node)?;
+        let compatible = compatible_widgets(&domain);
+        let mut widgets: Vec<CandidateWidget> = compatible
+            .iter()
+            .map(|&t| CandidateWidget::resolve(t, &domain))
+            .collect();
+        if widgets.is_empty() {
+            // `best_widget_for` falls back to a dropdown when nothing is compatible; keep it
+            // at index 0 so the default/fallback slot selects the same (possibly
+            // infinite-cost) widget as the reference path.
+            widgets.push(CandidateWidget::resolve(WidgetType::Dropdown, &domain));
+        }
+        // An explicit assignment may name an expressive type outside the per-kind candidate
+        // list (e.g. a dropdown on an OPT node); append those so `slots_from_map` can
+        // represent any map the reference path accepts.
+        for t in WidgetType::ALL {
+            if widget_can_express(t, &domain) && !widgets.iter().any(|c| c.widget_type == t) {
+                widgets.push(CandidateWidget::resolve(t, &domain));
+            }
+        }
+        Some(Self {
+            widgets,
+            sampled: (compatible.len() as u8).max(1),
+            cardinality: domain.cardinality,
+            mean_subtree_size: domain.mean_subtree_size,
+        })
+    }
+}
+
+/// Memo of [`SlotCandidates`] keyed by choice-node fingerprint. The cost layer keeps one
+/// per query log beside its plan cache, so compiling a novel search state resolves
+/// candidates only for choice subtrees no earlier state contained.
+pub type ChoiceMemo = GenerationCache<Arc<SlotCandidates>>;
+
+/// A choice node's compiled slot: its position plus its (shared) candidates.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChoiceSlot {
+    /// Path of the choice node in the difftree.
+    pub path: DiffPath,
+    /// The candidate widgets and domain features, shared with every other slot (of any
+    /// skeleton compiled through the same [`ChoiceMemo`]) whose node has this subtree.
+    pub candidates: Arc<SlotCandidates>,
+    /// Arena id of the interaction node bound to this slot.
+    pub node: u32,
+}
+
 /// An orientation slot: one grouping node whose [`LayoutKind`] the assignment selects.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrientSlot {
     /// Path of the grouping node in the difftree.
     pub path: DiffPath,
@@ -113,7 +167,7 @@ pub enum SkelKind {
 }
 
 /// One node of the compiled arena.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SkelNode {
     /// Interaction or layout.
     pub kind: SkelKind,
@@ -167,7 +221,7 @@ pub struct LayoutSkeleton {
 enum Proto {
     Interaction {
         path: DiffPath,
-        domain: ChoiceDomain,
+        candidates: Arc<SlotCandidates>,
     },
     Layout {
         orient: ProtoOrient,
@@ -188,8 +242,17 @@ impl LayoutSkeleton {
     /// orientation-slotted layouts, `MULTI` groupings are fixed to `Adder`, a widget-free
     /// tree compiles to an empty fixed-vertical root, and a single-widget tree is wrapped in
     /// a root layout whose orientation slot sits at the difftree root path.
+    ///
+    /// This is [`LayoutSkeleton::compile_with`] over a throwaway [`ChoiceMemo`], so equal
+    /// choice subtrees within `tree` still share their candidates.
     pub fn compile(tree: &DiffTree) -> Self {
-        let proto = Self::proto_of(tree.root(), &DiffPath::root());
+        Self::compile_with(tree, &ChoiceMemo::with_shards(usize::MAX, 1))
+    }
+
+    /// [`LayoutSkeleton::compile`], looking each choice node's candidates up in `memo` by
+    /// node fingerprint and inserting the ones it has to resolve for later compiles.
+    pub fn compile_with(tree: &DiffTree, memo: &ChoiceMemo) -> Self {
+        let proto = Self::proto_of(tree.root(), &DiffPath::root(), memo);
         let proto = match proto {
             None => Proto::Layout {
                 orient: ProtoOrient::Fixed(LayoutKind::Vertical),
@@ -221,16 +284,20 @@ impl LayoutSkeleton {
     }
 
     /// Mirror of `build_node` in [`crate::tree`]: `None` for subtrees without choice nodes.
-    fn proto_of(node: &DiffNode, path: &DiffPath) -> Option<Proto> {
+    fn proto_of(node: &DiffNode, path: &DiffPath, memo: &ChoiceMemo) -> Option<Proto> {
         if node.is_choice() {
-            let domain = ChoiceDomain::from_node(path.clone(), node)?;
+            let key = node.fingerprint();
+            let candidates = match memo.get(key) {
+                Some(hit) => hit,
+                None => memo.insert(key, Arc::new(SlotCandidates::of(node)?)),
+            };
             let own = Proto::Interaction {
                 path: path.clone(),
-                domain,
+                candidates,
             };
             let mut nested = Vec::new();
             for (i, child) in node.children().iter().enumerate() {
-                if let Some(p) = Self::proto_of(child, &path.child(i)) {
+                if let Some(p) = Self::proto_of(child, &path.child(i), memo) {
                     nested.push(p);
                 }
             }
@@ -249,7 +316,7 @@ impl LayoutSkeleton {
         } else {
             let mut built = Vec::new();
             for (i, child) in node.children().iter().enumerate() {
-                if let Some(p) = Self::proto_of(child, &path.child(i)) {
+                if let Some(p) = Self::proto_of(child, &path.child(i), memo) {
                     built.push(p);
                 }
             }
@@ -268,16 +335,20 @@ impl LayoutSkeleton {
     /// patched in for the children once the parent's id is known.
     fn flatten(&mut self, proto: Proto) -> u32 {
         match proto {
-            Proto::Interaction { path, domain } => {
-                let slot = self.make_choice_slot(path, &domain);
+            Proto::Interaction { path, candidates } => {
+                let slot = self.choice_slots.len() as u32;
+                let id = self.nodes.len() as u32;
+                self.choice_slots.push(ChoiceSlot {
+                    path,
+                    candidates,
+                    node: id,
+                });
                 self.nodes.push(SkelNode {
                     kind: SkelKind::Interaction(slot),
                     child_count: 0,
                     parent: NO_PARENT,
                     depth: 0,
                 });
-                let id = (self.nodes.len() - 1) as u32;
-                self.choice_slots[slot as usize].node = id;
                 id
             }
             Proto::Layout { orient, children } => {
@@ -303,38 +374,6 @@ impl LayoutSkeleton {
                 id
             }
         }
-    }
-
-    fn make_choice_slot(&mut self, path: DiffPath, domain: &ChoiceDomain) -> u32 {
-        let compatible = compatible_widgets(domain);
-        let mut candidates: Vec<CandidateWidget> = compatible
-            .iter()
-            .map(|&t| CandidateWidget::resolve(t, domain))
-            .collect();
-        if candidates.is_empty() {
-            // `best_widget_for` falls back to a dropdown when nothing is compatible; keep it
-            // at index 0 so the default/fallback slot selects the same (possibly
-            // infinite-cost) widget as the reference path.
-            candidates.push(CandidateWidget::resolve(WidgetType::Dropdown, domain));
-        }
-        // An explicit assignment may name an expressive type outside the per-kind candidate
-        // list (e.g. a dropdown on an OPT node); append those so `slots_from_map` can
-        // represent any map the reference path accepts.
-        for t in WidgetType::ALL {
-            if widget_can_express(t, domain) && !candidates.iter().any(|c| c.widget_type == t) {
-                candidates.push(CandidateWidget::resolve(t, domain));
-            }
-        }
-        let sampled = compatible.len() as u8;
-        self.choice_slots.push(ChoiceSlot {
-            path,
-            candidates,
-            sampled: sampled.max(1),
-            node: 0,
-            cardinality: domain.cardinality,
-            mean_subtree_size: domain.mean_subtree_size,
-        });
-        (self.choice_slots.len() - 1) as u32
     }
 
     // ------------------------------------------------------------------ accessors
@@ -387,7 +426,7 @@ impl LayoutSkeleton {
         out.choice_count = self.choice_slots.len();
         out.slots.clear();
         for slot in &self.choice_slots {
-            out.slots.push(rng.gen_range(0..slot.sampled));
+            out.slots.push(rng.gen_range(0..slot.candidates.sampled));
         }
         for _ in &self.orient_slots {
             let code = match rng.gen_range(0..4u8) {
@@ -409,7 +448,10 @@ impl LayoutSkeleton {
             let idx = map
                 .types
                 .get(&slot.path)
-                .and_then(|t| slot.candidates.iter().position(|c| c.widget_type == *t))
+                .and_then(|t| {
+                    let widgets = &slot.candidates.widgets;
+                    widgets.iter().position(|c| c.widget_type == *t)
+                })
                 .unwrap_or(0);
             slots.push(idx as u8);
         }
@@ -439,9 +481,10 @@ impl LayoutSkeleton {
     pub fn to_choice_map(&self, slots: &SlotAssignment) -> WidgetChoiceMap {
         let mut map = WidgetChoiceMap::default();
         for (i, slot) in self.choice_slots.iter().enumerate() {
-            let idx = slots.choice(i).min(slot.candidates.len() - 1);
+            let widgets = &slot.candidates.widgets;
+            let idx = slots.choice(i).min(widgets.len() - 1);
             map.types
-                .insert(slot.path.clone(), slot.candidates[idx].widget_type);
+                .insert(slot.path.clone(), widgets[idx].widget_type);
         }
         for (i, slot) in self.orient_slots.iter().enumerate() {
             let kind = Self::orient_kind(slots.orient(i));
@@ -471,9 +514,9 @@ impl LayoutSkeleton {
 
     #[inline]
     fn candidate<'a>(&'a self, slot: u32, slots: &SlotAssignment) -> &'a CandidateWidget {
-        let s = &self.choice_slots[slot as usize];
-        let idx = slots.choice(slot as usize).min(s.candidates.len() - 1);
-        &s.candidates[idx]
+        let widgets = &self.choice_slots[slot as usize].candidates.widgets;
+        let idx = slots.choice(slot as usize).min(widgets.len() - 1);
+        &widgets[idx]
     }
 
     // ------------------------------------------------------------------ evaluation folds
@@ -694,12 +737,88 @@ mod tests {
         for _ in 0..50 {
             skeleton.sample_into(&mut slots, &mut rng);
             for (i, slot) in skeleton.choice_slots().iter().enumerate() {
-                assert!(slots.choice(i) < slot.sampled as usize);
+                assert!(slots.choice(i) < slot.candidates.sampled as usize);
             }
             for i in 0..skeleton.orient_slots().len() {
                 assert!(slots.orient(i) < 3);
             }
         }
+    }
+
+    /// `select a, b from t` with each projected column an `ANY` over `{a, b}`: one
+    /// fingerprint-equal choice subtree at two paths (`[0, 0, 0]` and `[0, 1, 0]`). With
+    /// `nested_once`, only the second column carries the choice, at `[1, 1, 0]` after the
+    /// `FROM` and projection swap places — a tree sharing the subtree at a new path.
+    fn repeated_choice_tree(nested_once: bool) -> DiffTree {
+        use mctsui_difftree::Label;
+        let q = parse_query("select a, b from t").unwrap();
+        let (project, from) = (&q.children()[0], &q.children()[1]);
+        let (item_a, item_b) = (&project.children()[0], &project.children()[1]);
+        let column_any = DiffNode::any(vec![
+            DiffNode::from_ast(&item_a.children()[0]),
+            DiffNode::from_ast(&item_b.children()[0]),
+        ]);
+        let item = |ast| DiffNode::all(Label::of_ast(ast), vec![column_any.clone()]);
+        let root = if nested_once {
+            let items = vec![DiffNode::from_ast(item_a), item(item_b)];
+            vec![
+                DiffNode::from_ast(from),
+                DiffNode::all(Label::of_ast(project), items),
+            ]
+        } else {
+            let items = vec![item(item_a), item(item_b)];
+            vec![
+                DiffNode::all(Label::of_ast(project), items),
+                DiffNode::from_ast(from),
+            ]
+        };
+        DiffTree::new(DiffNode::all(Label::of_ast(&q), root))
+    }
+
+    #[test]
+    fn equal_choice_subtrees_share_candidates_but_keep_their_paths() {
+        let tree = repeated_choice_tree(false);
+        let skeleton = LayoutSkeleton::compile(&tree);
+        let slots = skeleton.choice_slots();
+        assert_eq!(slots.len(), 2);
+        assert_eq!(slots[0].path, DiffPath(vec![0, 0, 0]));
+        assert_eq!(slots[1].path, DiffPath(vec![0, 1, 0]));
+        assert!(Arc::ptr_eq(&slots[0].candidates, &slots[1].candidates));
+        // Sharing changes nothing observable: the slot form still mirrors the widget tree.
+        let map = default_assignment(&tree);
+        let wt = build_widget_tree(&tree, &map, Screen::wide());
+        assert_eq!(
+            skeleton.bounding_box(&skeleton.slots_from_map(&map), &mut Vec::new()),
+            wt.bounding_box()
+        );
+        assert_eq!(
+            skeleton.to_choice_map(&skeleton.default_slots()).types,
+            map.types
+        );
+    }
+
+    #[test]
+    fn a_warm_memo_never_leaks_paths_between_trees() {
+        let a = repeated_choice_tree(false);
+        let b = repeated_choice_tree(true);
+        let memo = ChoiceMemo::new(64);
+        let skeleton_a = LayoutSkeleton::compile_with(&a, &memo);
+        let warm_b = LayoutSkeleton::compile_with(&b, &memo);
+        let cold_b = LayoutSkeleton::compile(&b);
+        // B's one slot sits at B's path, though A put the same subtree in the memo first.
+        assert_eq!(b.choice_paths(), vec![DiffPath(vec![1, 1, 0])]);
+        assert_eq!(warm_b.choice_slots()[0].path, DiffPath(vec![1, 1, 0]));
+        assert!(Arc::ptr_eq(
+            &warm_b.choice_slots()[0].candidates,
+            &skeleton_a.choice_slots()[0].candidates
+        ));
+        assert_eq!(warm_b.choice_slots(), cold_b.choice_slots());
+        assert_eq!(warm_b.nodes(), cold_b.nodes());
+        assert_eq!(warm_b.orient_slots(), cold_b.orient_slots());
+        // Compiling A again through the memo B warmed is unaffected by B as well.
+        let again_a = LayoutSkeleton::compile_with(&a, &memo);
+        assert_eq!(again_a.choice_slots(), skeleton_a.choice_slots());
+        assert_eq!(memo.len(), 1);
     }
 
     #[test]

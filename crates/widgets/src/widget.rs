@@ -203,6 +203,18 @@ pub fn natural_size(widget_type: WidgetType, domain: &ChoiceDomain) -> (u32, u32
     }
 }
 
+/// Pixel size of `widget_type` bound to `domain`: the natural size scaled by its size
+/// template. Equal to ([`Widget::width`], [`Widget::height`]) of `Widget::new(widget_type,
+/// domain)`, without cloning the domain into a widget.
+pub fn template_size(widget_type: WidgetType, domain: &ChoiceDomain) -> (u32, u32) {
+    let (w, h) = natural_size(widget_type, domain);
+    let scale = SizeClass::classify(w, h).scale();
+    (
+        (w as f64 * scale).round() as u32,
+        (h as f64 * scale).round() as u32,
+    )
+}
+
 /// True if `widget_type` can express every option of `domain` at all.
 pub fn widget_can_express(widget_type: WidgetType, domain: &ChoiceDomain) -> bool {
     use DomainValueKind::*;

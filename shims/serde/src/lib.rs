@@ -7,7 +7,9 @@
 //! JSON-like [`Value`]. The sibling `serde_json` shim renders that `Value` as JSON text.
 //!
 //! Supported field types are exactly what the workspace needs: primitives, `String`,
-//! `Vec`, `Option`, `Box`, 2- and 3-tuples, `BTreeMap` and `HashMap` (any hasher).
+//! `Vec`, `Option`, `Box`, `Arc<T>`, `Arc<[T]>`, 2- and 3-tuples, `BTreeMap` and `HashMap`
+//! (any hasher). Smart pointers are transparent, as with real serde's `rc` feature: an
+//! `Arc<T>` encodes like its `T` and an `Arc<[T]>` like a `Vec<T>`.
 //! Maps serialize as arrays of `[key, value]` pairs so non-string keys round-trip.
 
 pub use serde_derive::{Deserialize, Serialize};
@@ -15,6 +17,7 @@ pub use serde_derive::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{BuildHasher, Hash};
+use std::sync::Arc;
 
 /// A JSON-like value: the intermediate representation of every (de)serialization.
 #[derive(Debug, Clone, PartialEq)]
@@ -293,6 +296,30 @@ impl<T: Serialize> Serialize for Box<T> {
 impl<T: Deserialize> Deserialize for Box<T> {
     fn from_value(v: &Value) -> Result<Self, Error> {
         T::from_value(v).map(Box::new)
+    }
+}
+
+impl<T: Serialize> Serialize for Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<T> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        T::from_value(v).map(Arc::new)
+    }
+}
+
+impl<T: Serialize> Serialize for Arc<[T]> {
+    fn to_value(&self) -> Value {
+        Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<[T]> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Vec::<T>::from_value(v).map(Arc::from)
     }
 }
 

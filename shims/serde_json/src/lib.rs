@@ -340,6 +340,19 @@ mod tests {
     }
 
     #[test]
+    fn arcs_encode_transparently() {
+        use std::sync::Arc;
+        let boxed: Vec<Box<u64>> = vec![Box::new(1), Box::new(2)];
+        let shared: Arc<[Arc<u64>]> = Arc::from(vec![Arc::new(1), Arc::new(2)]);
+        let json = to_string(&shared).unwrap();
+        assert_eq!(json, to_string(&boxed).unwrap());
+        let back: Arc<[Arc<u64>]> = from_str(&json).unwrap();
+        assert_eq!(back, shared);
+        let empty: Arc<[u8]> = from_str("[]").unwrap();
+        assert!(empty.is_empty());
+    }
+
+    #[test]
     fn pretty_output_is_parseable() {
         let v: Vec<Option<u64>> = vec![Some(1), None, Some(u64::MAX)];
         let json = to_string_pretty(&v).unwrap();
